@@ -43,6 +43,7 @@ pub mod experiments;
 pub mod metrics;
 pub mod solvejob;
 pub mod tables;
+pub mod tier;
 pub mod units;
 
 pub use config::{MageConfig, SystemKind};
@@ -54,4 +55,5 @@ pub use solvejob::{
     execute_sim, execute_sim_pooled, execute_sim_with, PendingWork, SimOutcome, SimRequest,
     SolveJob, SolveStep, StepInput,
 };
-pub use units::SolveUnits;
+pub use tier::{CacheTierStats, TieredLru};
+pub use units::{SolveUnits, UnitCache, DEFAULT_UNIT_CAPACITY};

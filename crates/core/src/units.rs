@@ -1,92 +1,89 @@
-//! A per-solve process-unit pool for the solo engine.
+//! Process-unit caches: [`UnitCache`], the unit tier of `mage-serve`'s
+//! shared cache fabric, and [`SolveUnits`], the same type used as the
+//! solo engine's per-solve pool.
 //!
-//! `mage-serve` shares compilation units across jobs through its
-//! `UnitCache` fabric, but the solo [`crate::Mage`] engine compiled
-//! every sibling candidate from scratch: the high-temperature samples
-//! of one solve routinely share most of their processes (the model
-//! rewrites one `always` block and keeps the rest), yet each candidate
-//! re-walked every module item through elaboration and lowering.
+//! Whole-design caches share elaborations between *textually
+//! identical* sources; a unit cache shares the pieces. A candidate that
+//! differs from anything seen before still reuses every process whose
+//! canonical text and resolved signal binding match a cached unit — the
+//! delta elaboration rebuilds only the edited processes (see
+//! [`mage_sim::elaborate_with`]). The cache is probed by item
+//! fingerprint *before* a module item's body is elaborated (see
+//! `crates/sim/src/elab.rs`), so a hit skips the elaboration walk and
+//! the lowering both. That matters most inside one solve: the
+//! high-temperature samples of a solve routinely share most of their
+//! processes (the model rewrites one `always` block and keeps the
+//! rest), and the solo [`crate::Mage`] engine keeps one [`SolveUnits`]
+//! per solve so sibling candidates reuse each other's units. One solve
+//! never comes near [`DEFAULT_UNIT_CAPACITY`] units, so the pool never
+//! evicts.
 //!
-//! [`SolveUnits`] closes that gap: a solve-lifetime [`UnitSource`]
-//! pool, probed by item fingerprint *before* a module item's body is
-//! elaborated (see `crates/sim/src/elab.rs`), so a process identical to
-//! one seen in any earlier sibling skips the elaboration walk and the
-//! lowering both. The pool is advisory by construction — delta
-//! elaboration verifies the canonical item text and full binding
-//! environment on every hit, and a verified unit is bit-identical to a
-//! rebuild — so pooling changes *where* work happens, never what any
-//! compile returns. The `MAGE_SIM_DELTA` oracle discipline applies:
-//! callers gate on [`mage_sim::delta_enabled`] (see
-//! [`crate::compile_pooled`]), and under `MAGE_SIM_DELTA=off` the pool
-//! is never consulted.
+//! A unit cache is a [`TieredLru`] keyed by [`UnitKey`] (a hash triple)
+//! that stores and verifies the full [`UnitTag`] — canonical item text
+//! and binding environment — on every hit, so a collision falls through
+//! to a rebuild instead of serving the wrong bytecode (see
+//! [`crate::tier`] for the eviction, race, collision and tiering
+//! rules). Reuse is advisory by construction — a verified unit is
+//! bit-identical to a rebuild — so it changes *where* work happens,
+//! never what any compile returns. The `MAGE_SIM_DELTA` oracle
+//! discipline applies: callers gate on [`mage_sim::delta_enabled`] (see
+//! [`crate::compile_pooled`]), and under `MAGE_SIM_DELTA=off` no unit
+//! cache is consulted.
 
+use crate::tier::TieredLru;
 use mage_sim::{ProcessUnit, UnitKey, UnitSource, UnitTag};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::Arc;
 
-/// A solve-lifetime unit pool: every process elaborated for any
-/// candidate of one solve is published here and served, fully verified,
-/// to later sibling compiles. Unbounded — the working set is one
-/// solve's distinct processes, released with the solve.
-#[derive(Debug, Default)]
-pub struct SolveUnits {
-    pool: Mutex<HashMap<UnitKey, (UnitTag, ProcessUnit)>>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
+/// Default [`UnitCache`] entry bound: units are per-process (a design
+/// holds several), so the bound sits well above the design cache's.
+pub const DEFAULT_UNIT_CAPACITY: usize = 32768;
+
+/// A bounded map from [`UnitKey`] to a compiled process unit, verified
+/// against the full [`UnitTag`] and optionally tiered — shared by every
+/// job (and every shard tier) holding the same `Arc<UnitCache>`.
+pub type UnitCache = TieredLru<UnitTag, ProcessUnit, UnitKey>;
+
+/// The solo engine's per-solve unit pool: every process elaborated for
+/// any candidate of one solve is published here and served, fully
+/// verified, to later sibling compiles.
+pub type SolveUnits = UnitCache;
+
+fn unit_key(tag: &UnitTag) -> UnitKey {
+    tag.key
 }
 
-impl SolveUnits {
-    /// An empty pool.
+impl Default for UnitCache {
+    fn default() -> Self {
+        Self::with_capacity(DEFAULT_UNIT_CAPACITY)
+    }
+}
+
+impl UnitCache {
+    /// An empty cache with the [default capacity](DEFAULT_UNIT_CAPACITY).
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Distinct unit keys pooled.
-    pub fn len(&self) -> usize {
-        self.pool.lock().expect("solve pool poisoned").len()
+    /// An empty cache bounded to `capacity` entries (0 = unbounded).
+    pub fn with_capacity(capacity: usize) -> Self {
+        Self::with_hasher(capacity, unit_key, None)
     }
 
-    /// `true` when nothing is pooled.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Lookups served from the pool (elaboration walks skipped).
-    pub fn hits(&self) -> usize {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that fell through to a fresh elaboration.
-    pub fn misses(&self) -> usize {
-        self.misses.load(Ordering::Relaxed)
+    /// A local tier bounded to `capacity` entries, backed by `parent`:
+    /// local misses consult the parent (promoting hits locally) and
+    /// fresh units are published to it.
+    pub fn tiered(capacity: usize, parent: Arc<UnitCache>) -> Self {
+        Self::with_hasher(capacity, unit_key, Some(parent))
     }
 }
 
-impl UnitSource for SolveUnits {
+impl UnitSource for UnitCache {
     fn lookup(&self, tag: &UnitTag) -> Option<ProcessUnit> {
-        let pool = self.pool.lock().expect("solve pool poisoned");
-        if let Some((stored, unit)) = pool.get(&tag.key) {
-            // Full verification, as every UnitSource must: identical
-            // canonical text AND identical binding environment, or the
-            // hit is a collision and the item rebuilds.
-            if *stored.text == *tag.text && *stored.env == *tag.env {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Some(unit.clone());
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        None
+        TieredLru::lookup(self, tag)
     }
 
     fn publish(&self, tag: &UnitTag, unit: ProcessUnit) {
-        // First insert wins; an identical racer would store an
-        // identical unit anyway (units are pure in their tag).
-        self.pool
-            .lock()
-            .expect("solve pool poisoned")
-            .entry(tag.key)
-            .or_insert_with(|| (tag.clone(), unit));
+        TieredLru::publish(self, tag, unit)
     }
 }
 
@@ -94,7 +91,8 @@ impl UnitSource for SolveUnits {
 mod tests {
     use super::*;
     use crate::engine::{compile, compile_pooled};
-    use std::sync::Arc;
+    use mage_sim::DesignUnits;
+    use std::sync::Mutex;
 
     const BASE: &str = "module top_module(input clk, input a, input b, \
                         output reg q, output w);\n\
@@ -180,19 +178,44 @@ mod tests {
         // Hand-rolled collision: publish under a tag, then look up with
         // the same key but a different environment witness.
         let units = SolveUnits::new();
-        with_delta("on", || {
+        let d = with_delta("on", || {
             let (d, _) = compile_pooled(BASE, None, &units).expect("elaborates");
             assert!(!units.is_empty());
-            let _ = d;
+            d
         });
-        let pool = units.pool.lock().unwrap();
-        let (tag, _) = pool.values().next().expect("pooled unit").clone();
-        drop(pool);
+        let tag = d.units()[0].clone();
+        assert!(units.lookup(&tag).is_some(), "published unit is pooled");
         let mut wrong = tag.clone();
         wrong.env = "m=other;p=;s=[];c=[]".into();
         assert!(
             units.lookup(&wrong).is_none(),
             "unverified identity must miss"
         );
+    }
+
+    #[test]
+    fn tiered_unit_collision_counts_once() {
+        let d = compile(BASE).expect("elaborates");
+        let key = d.units()[0].key;
+        let unit = DesignUnits::new(Arc::clone(&d))
+            .lookup(&d.units()[0])
+            .expect("parent design serves its own unit");
+        let tag = |text: &str| UnitTag {
+            key,
+            text: text.into(),
+            env: "env".into(),
+        };
+        let (a, b) = (tag("a"), tag("b"));
+        let global = Arc::new(UnitCache::new());
+        let local = UnitCache::tiered(8, Arc::clone(&global));
+        UnitSource::publish(&local, &a, unit.clone());
+        assert!(UnitSource::lookup(&local, &b).is_none());
+        assert_eq!(local.collisions(), 1);
+        // The publish that follows a colliding lookup is a separate call
+        // and counts nothing: one collision, not two.
+        UnitSource::publish(&local, &b, unit);
+        assert_eq!(local.collisions(), 1);
+        assert!(UnitSource::lookup(&local, &b).is_some());
+        assert!(UnitSource::lookup(&local, &a).is_none());
     }
 }

@@ -70,19 +70,21 @@
 //!
 //! # Cache fabric
 //!
-//! Each shard compiles through a private LRU tier backed by one shared
-//! global tier ([`mage_serve::DesignCache::tiered`] /
-//! [`mage_serve::ScoreCache::tiered`] /
-//! [`mage_serve::UnitCache::tiered`]): local misses consult the global
-//! tier and promote hits into the local tier; fresh results publish
-//! back. Affinity routing keeps a problem's designs in one local tier;
-//! the global tier catches cross-shard and post-migration reuse. The
-//! unit tier works below whole designs — per-process compilation units
-//! keyed by `(fingerprint, binding)`, so a debug iteration that edits
-//! one process recompiles only that process even when the whole-design
-//! caches miss, and cross-shard edits of the same problem share
-//! unchanged units through the global tier. The per-tier
-//! hit/miss/promotion counters aggregate into [`FleetReport::fabric`].
+//! Each shard compiles through private LRU tiers backed by shared
+//! global tiers ([`mage_serve::DesignCache::tiered`] /
+//! [`mage_serve::ScoreCache::tiered`] / [`mage_serve::UnitCache`]'s
+//! `tiered`), all one verified tier type, [`mage_core::TieredLru`]:
+//! local misses consult the global tier and promote hits into the local
+//! tier; fresh results publish back. Affinity routing keeps a problem's
+//! designs in one local tier; the global tier catches cross-shard and
+//! post-migration reuse. The unit tier works below whole designs —
+//! per-process compilation units keyed by `(fingerprint, binding)`, so a
+//! debug iteration that edits one process recompiles only that process
+//! even when the whole-design caches miss, and cross-shard edits of the
+//! same problem share unchanged units through the global tier. Each
+//! tier's counters snapshot as one [`CacheTierStats`]; the local
+//! snapshots of every shard generation sum into [`FleetReport::fabric`]
+//! beside the global ones.
 
 use crate::service::{synthetic_shard_service, synthetic_shard_service_with};
 use crate::shard::{
@@ -90,7 +92,7 @@ use crate::shard::{
     ShardReply,
 };
 use crate::trace::{Migration, Placement, PlacementTrace};
-use mage_core::SolveTrace;
+use mage_core::{CacheTierStats, SolveTrace};
 use mage_llm::{DispatchPolicy, FaultPlan, HealthSnapshot};
 use mage_serve::{
     DesignCache, FaultyService, JobSpec, LlmService, ScoreCache, ServeEngine, ServeOptions,
@@ -143,42 +145,6 @@ impl Default for FleetOptions {
     }
 }
 
-/// Per-tier cache counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheTierStats {
-    /// Lookups answered by this tier.
-    pub hits: usize,
-    /// Lookups this tier could not answer itself.
-    pub misses: usize,
-    /// Parent-tier hits copied into this tier (local tiers only).
-    pub promotions: usize,
-    /// Key collisions detected.
-    pub collisions: usize,
-}
-
-impl CacheTierStats {
-    fn absorb_design(&mut self, c: &DesignCache) {
-        self.hits += c.hits();
-        self.misses += c.misses();
-        self.promotions += c.promotions();
-        self.collisions += c.collisions();
-    }
-
-    fn absorb_score(&mut self, c: &ScoreCache) {
-        self.hits += c.hits();
-        self.misses += c.misses();
-        self.promotions += c.promotions();
-        self.collisions += c.collisions();
-    }
-
-    fn absorb_unit(&mut self, c: &UnitCache) {
-        self.hits += c.hits();
-        self.misses += c.misses();
-        self.promotions += c.promotions();
-        self.collisions += c.collisions();
-    }
-}
-
 /// The cache fabric's aggregate counters: local tiers summed over all
 /// shards (including restarted generations), plus the global tiers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -195,6 +161,15 @@ pub struct FabricStats {
     pub score_global: CacheTierStats,
     /// The shared global process-unit tier.
     pub unit_global: CacheTierStats,
+}
+
+impl FabricStats {
+    /// Add one shard generation's local tiers.
+    fn absorb_local(&mut self, shard: &ShardHandle) {
+        self.design_local += shard.design.stats();
+        self.score_local += shard.scores.stats();
+        self.unit_local += shard.units.stats();
+    }
 }
 
 /// Aggregate outcome of a fleet run.
@@ -264,15 +239,6 @@ pub struct FleetEngine<S: LlmService + Send + 'static> {
     retired_fabric: FabricStats,
     restarts: usize,
     wall: Duration,
-}
-
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 impl FleetEngine<FaultyService<SyntheticPerJob>> {
@@ -385,7 +351,8 @@ impl<S: LlmService + Send + 'static> FleetEngine<S> {
             .filter(|&i| Some(i) != exclude)
             .collect();
         assert!(!candidates.is_empty(), "no shard to route to");
-        let affinity = candidates[(fnv1a(problem_id) % candidates.len() as u64) as usize];
+        let affinity = candidates
+            [(mage_logic::fnv1a(problem_id.as_bytes()) % candidates.len() as u64) as usize];
         let min_load = candidates.iter().map(|&i| self.load[i]).min().unwrap();
         if self.load[affinity] > min_load + self.opts.spread {
             *candidates
@@ -634,15 +601,7 @@ impl<S: LlmService + Send + 'static> FleetEngine<S> {
             ShardReply::Finished(final_) => self.retired.push(*final_),
             _ => unreachable!("finish reply"),
         }
-        self.retired_fabric
-            .design_local
-            .absorb_design(&self.shards[ix].design);
-        self.retired_fabric
-            .score_local
-            .absorb_score(&self.shards[ix].scores);
-        self.retired_fabric
-            .unit_local
-            .absorb_unit(&self.shards[ix].units);
+        self.retired_fabric.absorb_local(&self.shards[ix]);
         self.shards[ix].join();
         let fresh = self.spawn_shard(ix);
         self.shards[ix] = fresh;
@@ -680,14 +639,12 @@ impl<S: LlmService + Send + 'static> FleetEngine<S> {
                 ShardReply::Finished(f) => finals.push(*f),
                 _ => unreachable!("finish reply"),
             }
-            fabric.design_local.absorb_design(&shard.design);
-            fabric.score_local.absorb_score(&shard.scores);
-            fabric.unit_local.absorb_unit(&shard.units);
+            fabric.absorb_local(shard);
             shard.join();
         }
-        fabric.design_global.absorb_design(&self.global_design);
-        fabric.score_global.absorb_score(&self.global_scores);
-        fabric.unit_global.absorb_unit(&self.global_units);
+        fabric.design_global = self.global_design.stats();
+        fabric.score_global = self.global_scores.stats();
+        fabric.unit_global = self.global_units.stats();
         self.wall += t0.elapsed();
 
         let mut stats = ServeStats::default();

@@ -32,7 +32,8 @@ mod service;
 mod shard;
 mod trace;
 
-pub use fleet::{CacheTierStats, FabricStats, FleetEngine, FleetOptions, FleetReport};
+pub use fleet::{FabricStats, FleetEngine, FleetOptions, FleetReport};
+pub use mage_core::CacheTierStats;
 pub use service::{synthetic_shard_service, synthetic_shard_service_with};
 pub use shard::JobRoster;
 pub use trace::{Migration, Placement, PlacementTrace};

@@ -1,31 +1,43 @@
-//! The shared result caches: elaborations ([`DesignCache`]), scoring
-//! outcomes ([`ScoreCache`]), and per-process compilation units
-//! ([`UnitCache`]).
+//! The shared result caches: elaborations ([`DesignCache`]) and scoring
+//! outcomes ([`ScoreCache`]). Per-process compilation units live one
+//! level down, in [`mage_core::UnitCache`] (re-exported here).
+//!
+//! # One tier
+//!
+//! Every cache is a thin wrapper over one [`TieredLru`]: entries keyed
+//! by a hash of their full identity text, that text stored and verified
+//! on every hit (a colliding lookup falls through to a real compile or
+//! simulation), LRU-evicted with promote-on-hit, and counted as hits,
+//! misses, collisions and promotions. A wrapper adds only what is its
+//! own: the identity text, the miss path (compile with delta hints, or
+//! simulate), and for scores the structural short-circuit index — a
+//! second, untiered tier.
+//!
+//! The tier's race and collision rules (see [`mage_core::tier`]):
+//! racing stores of one identity keep the first value and return it;
+//! two identities on one key keep the most recent; a collision counts
+//! at most once per tier per lookup, whether the lookup's probe saw it
+//! or a racer created it before the lookup's store.
 //!
 //! # Tiered fabric
 //!
-//! Both caches can be built with [`DesignCache::tiered`] /
-//! [`ScoreCache::tiered`]: a small local tier backed by a shared global
-//! parent. A local miss consults the parent before computing; a parent
-//! hit is **promoted** into the local tier (counted by
-//! [`DesignCache::promotions`]), and every fresh computation is
-//! published to the parent so sibling tiers can reuse it. Entries are
+//! [`DesignCache::tiered`] / [`ScoreCache::tiered`] /
+//! [`UnitCache::tiered`] build a small local tier backed by a shared
+//! global parent. A local miss consults the parent before computing; a
+//! parent hit is **promoted** into the local tier (counted by
+//! `promotions`), and every fresh computation is published to the
+//! parent so sibling tiers can reuse it. Entries are
 //! schedule-independent facts (pure functions of their key text), so
 //! the fabric can only change *where* work happens, never *what* any
 //! lookup returns — tiering is invisible to traces by construction.
-//! Lock discipline: a tier only ever holds its own mutex (parent calls
-//! happen outside the local lock), so local/global tiers cannot
-//! deadlock however many shards share one parent.
 
 use mage_core::solvejob::{execute_sim_with, SimOutcome, SimRequest};
+use mage_core::tier::{CacheTierStats, TieredLru};
+pub use mage_core::units::{UnitCache, DEFAULT_UNIT_CAPACITY};
 use mage_core::{compile, compile_with_provider};
-use mage_sim::{
-    delta_enabled, ChainedUnits, Design, DesignUnits, ProcessUnit, UnitKey, UnitSource, UnitTag,
-};
-use mage_tb::Testbench;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use mage_sim::{delta_enabled, ChainedUnits, Design, DesignUnits, UnitSource};
+use mage_tb::{TbReport, Testbench};
+use std::sync::Arc;
 
 /// Default entry bound: comfortably above any one round's working set,
 /// small enough that a day-long stream cannot grow without limit.
@@ -39,45 +51,9 @@ fn fnv1a_source(source: &str) -> u64 {
     mage_logic::fnv1a(source.as_bytes())
 }
 
-#[derive(Debug)]
-struct Entry {
-    /// The full source text this entry was compiled from, verified on
-    /// every hit — a 64-bit hash alone would let two colliding sources
-    /// silently serve each other's `Design` to a job.
-    source: String,
-    result: Result<Arc<Design>, String>,
-    /// Recency stamp (monotonic ticks) for LRU eviction.
-    stamp: u64,
-}
-
-#[derive(Debug, Default)]
-struct CacheInner {
-    map: HashMap<u64, Entry>,
-    /// Monotonic recency clock; bumped on every insert and hit.
-    tick: u64,
-}
-
-impl CacheInner {
-    fn next_tick(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
-
-    /// Evict least-recently-used entries until below `capacity`. A
-    /// linear min-stamp scan: eviction only runs on an at-capacity
-    /// insert, where the adjacent compile dwarfs the scan.
-    fn evict_to(&mut self, capacity: usize) {
-        while self.map.len() >= capacity.max(1) && !self.map.is_empty() {
-            let oldest = self
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(&k, _)| k)
-                .expect("non-empty map");
-            self.map.remove(&oldest);
-        }
-    }
-}
+/// An elaboration result: the design, or the diagnostic fed to the
+/// syntax-repair loop.
+type Elaboration = Result<Arc<Design>, String>;
 
 /// A bounded map from candidate source text to its elaboration result,
 /// shared by every job (and every engine) holding the same
@@ -97,19 +73,10 @@ impl CacheInner {
 /// Capacity: at most `capacity` entries, evicted least-recently-used —
 /// a hit refreshes recency, so the hot grading benches and re-probed
 /// syntax-repair sources survive a stream of unique high-temperature
-/// candidates (which, under the previous FIFO policy, would flush them
-/// while stale one-shot entries lingered).
+/// candidates.
 #[derive(Debug)]
 pub struct DesignCache {
-    inner: Mutex<CacheInner>,
-    capacity: usize,
-    hasher: SourceHasher,
-    /// Shared global tier consulted on local misses (see module docs).
-    parent: Option<Arc<DesignCache>>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-    collisions: AtomicUsize,
-    promotions: AtomicUsize,
+    tier: Arc<TieredLru<str, Elaboration>>,
 }
 
 impl Default for DesignCache {
@@ -133,16 +100,8 @@ impl DesignCache {
     /// is FNV-1a over the full source; tests inject degenerate hashers
     /// to force key collisions.
     pub fn with_capacity_and_hasher(capacity: usize, hasher: SourceHasher) -> Self {
-        DesignCache {
-            inner: Mutex::new(CacheInner::default()),
-            capacity,
-            hasher,
-            parent: None,
-            hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
-            collisions: AtomicUsize::new(0),
-            promotions: AtomicUsize::new(0),
-        }
+        let tier = Arc::new(TieredLru::with_hasher(capacity, hasher, None));
+        DesignCache { tier }
     }
 
     /// A local tier bounded to `capacity` entries, backed by `parent`:
@@ -150,16 +109,16 @@ impl DesignCache {
     /// fresh compiles are published to it. The parent uses its own
     /// hasher; the local tier uses the production hasher.
     pub fn tiered(capacity: usize, parent: Arc<DesignCache>) -> Self {
-        let mut cache = Self::with_capacity(capacity);
-        cache.parent = Some(parent);
-        cache
+        let parent = Some(Arc::clone(&parent.tier));
+        let tier = Arc::new(TieredLru::with_hasher(capacity, fnv1a_source, parent));
+        DesignCache { tier }
     }
 
     /// Look up `source`, elaborating on a miss. Two workers racing on
     /// the same new source may both compile; the results are identical
     /// and the first insert wins, so callers observe one canonical
     /// entry either way.
-    pub fn get_or_compile(&self, source: &str) -> Result<Arc<Design>, String> {
+    pub fn get_or_compile(&self, source: &str) -> Elaboration {
         self.get_or_compile_with(source, None, None)
     }
 
@@ -176,158 +135,52 @@ impl DesignCache {
         source: &str,
         parent: Option<&Arc<Design>>,
         units: Option<&UnitCache>,
-    ) -> Result<Arc<Design>, String> {
-        let key = (self.hasher)(source);
-        let mut collided = false;
-        {
-            let mut inner = self.inner.lock().expect("design cache poisoned");
-            let tick = inner.next_tick();
-            if let Some(entry) = inner.map.get_mut(&key) {
-                if entry.source == source {
-                    // Promote on hit: LRU recency refresh.
-                    entry.stamp = tick;
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return entry.result.clone();
-                }
-                // Distinct source on the same key: never serve the
-                // cached design — fall through to a real compile.
-                self.collisions.fetch_add(1, Ordering::Relaxed);
-                collided = true;
-            }
-        }
-        // Not answered locally. Try the global tier first: a sibling
-        // shard may already have paid for this compile.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(parent) = &self.parent {
-            if let Some(result) = parent.lookup(source) {
-                self.promotions.fetch_add(1, Ordering::Relaxed);
-                return self.store(key, source, result, collided);
-            }
-        }
-        // Compile outside the lock: elaboration is the expensive part,
-        // and serializing it would defeat the sim worker pool.
-        let result = compile_delta(source, parent, units);
-        if let Some(parent) = &self.parent {
-            parent.insert(source, result.clone());
-        }
-        self.store(key, source, result, collided)
-    }
-
-    /// Probe for `source` without compiling: the tiered fabric's
-    /// parent-side lookup. Counts a hit (with LRU promotion) or a miss
-    /// on *this* cache; a colliding entry counts a collision and
-    /// reports a miss. Does not recurse into this cache's own parent.
-    pub fn lookup(&self, source: &str) -> Option<Result<Arc<Design>, String>> {
-        let key = (self.hasher)(source);
-        let mut inner = self.inner.lock().expect("design cache poisoned");
-        let tick = inner.next_tick();
-        if let Some(entry) = inner.map.get_mut(&key) {
-            if entry.source == source {
-                entry.stamp = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Some(entry.result.clone());
-            }
-            self.collisions.fetch_add(1, Ordering::Relaxed);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        None
-    }
-
-    /// Insert an already-computed elaboration result (the tiered
-    /// fabric's publish path). No counters move: the work was paid for
-    /// by whichever tier computed it.
-    pub fn insert(&self, source: &str, result: Result<Arc<Design>, String>) {
-        let key = (self.hasher)(source);
-        let _ = self.store(key, source, result, false);
-    }
-
-    /// Store `result` under `key`, honoring races (first insert wins),
-    /// collisions (most recent source keeps the slot), and the LRU
-    /// bound. Returns the canonical result for this source.
-    fn store(
-        &self,
-        key: u64,
-        source: &str,
-        result: Result<Arc<Design>, String>,
-        collided: bool,
-    ) -> Result<Arc<Design>, String> {
-        let mut inner = self.inner.lock().expect("design cache poisoned");
-        let tick = inner.next_tick();
-        match inner.map.get_mut(&key) {
-            // Raced with another worker compiling the same source.
-            Some(entry) if entry.source == source => return entry.result.clone(),
-            // Collision: the slot keeps the most recent source, so the
-            // side the stream is currently probing stays warm. Count it
-            // only if the first lock didn't already (a racer inserting
-            // the colliding entry between the two locks).
-            Some(entry) => {
-                if !collided {
-                    self.collisions.fetch_add(1, Ordering::Relaxed);
-                }
-                *entry = Entry {
-                    source: source.to_string(),
-                    result: result.clone(),
-                    stamp: tick,
-                };
-                return result;
-            }
-            None => {}
-        }
-        if self.capacity > 0 {
-            inner.evict_to(self.capacity);
-        }
-        inner.map.insert(
-            key,
-            Entry {
-                source: source.to_string(),
-                result: result.clone(),
-                stamp: tick,
-            },
-        );
-        result
+    ) -> Elaboration {
+        self.tier
+            .get_or_insert_with(source, || compile_delta(source, parent, units))
     }
 
     /// Number of distinct sources cached.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("design cache poisoned").map.len()
+        self.tier.len()
     }
 
     /// `true` when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.tier.is_empty()
     }
 
     /// The entry bound (0 = unbounded).
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.tier.capacity()
     }
 
     /// Lookups answered from the cache.
     pub fn hits(&self) -> usize {
-        self.hits.load(Ordering::Relaxed)
+        self.tier.hits()
     }
 
-    /// Lookups that compiled.
+    /// Lookups that compiled (or were promoted from the global tier).
     pub fn misses(&self) -> usize {
-        self.misses.load(Ordering::Relaxed)
+        self.tier.misses()
     }
 
     /// Lookups whose key matched a *different* cached source (each one
     /// fell through to a real compile instead of returning the wrong
     /// design).
     pub fn collisions(&self) -> usize {
-        self.collisions.load(Ordering::Relaxed)
+        self.tier.collisions()
     }
 
     /// Local misses answered by the global tier (a subset of
     /// [`misses`](Self::misses)). Always 0 on an untiered cache.
     pub fn promotions(&self) -> usize {
-        self.promotions.load(Ordering::Relaxed)
+        self.tier.promotions()
     }
 
-    /// The shared global tier, when this cache is tiered.
-    pub fn parent(&self) -> Option<&Arc<DesignCache>> {
-        self.parent.as_ref()
+    /// All four tier counters at once.
+    pub fn stats(&self) -> CacheTierStats {
+        self.tier.stats()
     }
 }
 
@@ -338,7 +191,7 @@ fn compile_delta(
     source: &str,
     parent: Option<&Arc<Design>>,
     units: Option<&UnitCache>,
-) -> Result<Arc<Design>, String> {
+) -> Elaboration {
     if !delta_enabled() || (parent.is_none() && units.is_none()) {
         return compile(source);
     }
@@ -354,272 +207,10 @@ fn compile_delta(
     compile_with_provider(source, &chain).map(|(design, _)| design)
 }
 
-/// Default [`UnitCache`] entry bound: units are per-process (a design
-/// holds several), so the bound sits well above the design cache's.
-pub const DEFAULT_UNIT_CAPACITY: usize = 32768;
-
-#[derive(Debug)]
-struct UnitEntry {
-    /// The full identity (canonical item text + environment string)
-    /// this unit was built under, verified on every hit — the 64-bit
-    /// key alone would let colliding processes serve each other's
-    /// bytecode.
-    tag: UnitTag,
-    unit: ProcessUnit,
-    stamp: u64,
-}
-
-#[derive(Debug, Default)]
-struct UnitInner {
-    map: HashMap<UnitKey, UnitEntry>,
-    tick: u64,
-}
-
-impl UnitInner {
-    fn next_tick(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
-
-    fn evict_to(&mut self, capacity: usize) {
-        while self.map.len() >= capacity.max(1) && !self.map.is_empty() {
-            let oldest = self
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(&k, _)| k)
-                .expect("non-empty map");
-            self.map.remove(&oldest);
-        }
-    }
-}
-
-/// A bounded map from [`UnitKey`] to a compiled process unit, shared by
-/// every job (and every shard tier) holding the same `Arc<UnitCache>` —
-/// the process-grained sibling of [`DesignCache`].
-///
-/// The design cache shares whole elaborations between *textually
-/// identical* sources; this cache shares the pieces. A candidate that
-/// differs from anything seen before still reuses every process whose
-/// canonical text and resolved signal binding match a cached unit —
-/// the delta elaboration rebuilds only the edited processes (see
-/// [`mage_sim::elaborate_with`]).
-///
-/// Discipline matches the sibling caches exactly: FNV-keyed
-/// ([`UnitKey`] is a hash triple), the full identity witnesses
-/// ([`UnitTag::text`] / [`UnitTag::env`]) stored and verified on every
-/// hit so a collision falls through to a rebuild instead of serving the
-/// wrong bytecode, LRU eviction with promote-on-hit, and hit / miss /
-/// collision / promotion counters. [`DesignCache::tiered`]-style
-/// tiering applies too: a local miss consults the shared global tier,
-/// promoting hits locally and publishing fresh units upward.
-#[derive(Debug)]
-pub struct UnitCache {
-    inner: Mutex<UnitInner>,
-    capacity: usize,
-    /// Shared global tier consulted on local misses (see module docs).
-    parent: Option<Arc<UnitCache>>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-    collisions: AtomicUsize,
-    promotions: AtomicUsize,
-}
-
-impl Default for UnitCache {
-    fn default() -> Self {
-        Self::with_capacity(DEFAULT_UNIT_CAPACITY)
-    }
-}
-
-impl UnitCache {
-    /// An empty cache with the [default capacity](DEFAULT_UNIT_CAPACITY).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty cache bounded to `capacity` entries (0 = unbounded).
-    pub fn with_capacity(capacity: usize) -> Self {
-        UnitCache {
-            inner: Mutex::new(UnitInner::default()),
-            capacity,
-            parent: None,
-            hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
-            collisions: AtomicUsize::new(0),
-            promotions: AtomicUsize::new(0),
-        }
-    }
-
-    /// A local tier bounded to `capacity` entries, backed by `parent`:
-    /// local misses consult the parent (promoting hits locally) and
-    /// fresh units are published to it — the unit side of the tiered
-    /// fabric.
-    pub fn tiered(capacity: usize, parent: Arc<UnitCache>) -> Self {
-        let mut cache = Self::with_capacity(capacity);
-        cache.parent = Some(parent);
-        cache
-    }
-
-    /// Probe this tier only (no parent consultation), counting a hit
-    /// (with LRU promotion), a collision, or a miss.
-    fn lookup_local(&self, tag: &UnitTag) -> Option<ProcessUnit> {
-        let mut inner = self.inner.lock().expect("unit cache poisoned");
-        let tick = inner.next_tick();
-        if let Some(entry) = inner.map.get_mut(&tag.key) {
-            // Full verification: identical canonical text AND identical
-            // resolved binding, or the hit is a collision and must
-            // rebuild — never serve the wrong unit.
-            if *entry.tag.text == *tag.text && *entry.tag.env == *tag.env {
-                entry.stamp = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Some(entry.unit.clone());
-            }
-            self.collisions.fetch_add(1, Ordering::Relaxed);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        None
-    }
-
-    /// Store `unit` under its tag, honoring races (first insert wins),
-    /// collisions (most recent identity keeps the slot), and the LRU
-    /// bound.
-    fn store(&self, tag: &UnitTag, unit: ProcessUnit) {
-        let mut inner = self.inner.lock().expect("unit cache poisoned");
-        let tick = inner.next_tick();
-        match inner.map.get_mut(&tag.key) {
-            // Raced with another worker publishing the same unit.
-            Some(entry) if *entry.tag.text == *tag.text && *entry.tag.env == *tag.env => {
-                entry.stamp = tick;
-                return;
-            }
-            // Collision: the slot keeps the most recent identity warm.
-            Some(entry) => {
-                *entry = UnitEntry {
-                    tag: tag.clone(),
-                    unit,
-                    stamp: tick,
-                };
-                return;
-            }
-            None => {}
-        }
-        if self.capacity > 0 {
-            inner.evict_to(self.capacity);
-        }
-        inner.map.insert(
-            tag.key,
-            UnitEntry {
-                tag: tag.clone(),
-                unit,
-                stamp: tick,
-            },
-        );
-    }
-
-    /// Number of distinct unit keys cached.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("unit cache poisoned").map.len()
-    }
-
-    /// `true` when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The entry bound (0 = unbounded).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Lookups answered from the cache (this tier).
-    pub fn hits(&self) -> usize {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that fell through to a rebuild (or to the parent tier).
-    pub fn misses(&self) -> usize {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Lookups whose key matched a *different* cached identity (each
-    /// fell through to a rebuild instead of serving the wrong unit).
-    pub fn collisions(&self) -> usize {
-        self.collisions.load(Ordering::Relaxed)
-    }
-
-    /// Local misses answered by the global tier (a subset of
-    /// [`misses`](Self::misses)). Always 0 on an untiered cache.
-    pub fn promotions(&self) -> usize {
-        self.promotions.load(Ordering::Relaxed)
-    }
-
-    /// The shared global tier, when this cache is tiered.
-    pub fn parent(&self) -> Option<&Arc<UnitCache>> {
-        self.parent.as_ref()
-    }
-}
-
-impl UnitSource for UnitCache {
-    fn lookup(&self, tag: &UnitTag) -> Option<ProcessUnit> {
-        if let Some(unit) = self.lookup_local(tag) {
-            return Some(unit);
-        }
-        // Local miss: a sibling shard may have published this unit to
-        // the global tier — promote it locally on a hit.
-        let parent = self.parent.as_ref()?;
-        let unit = parent.lookup_local(tag)?;
-        self.promotions.fetch_add(1, Ordering::Relaxed);
-        self.store(tag, unit.clone());
-        Some(unit)
-    }
-
-    fn publish(&self, tag: &UnitTag, unit: ProcessUnit) {
-        if let Some(parent) = &self.parent {
-            parent.store(tag, unit.clone());
-        }
-        self.store(tag, unit);
-    }
-}
-
 /// Default [`ScoreCache`] entry bound. Scored outcomes carry full
 /// reports (one record per bench step), so the bound sits below the
 /// design cache's.
 pub const DEFAULT_SCORE_CAPACITY: usize = 4096;
-
-#[derive(Debug)]
-struct ScoreEntry {
-    /// The full identity text (candidate source + bench text) this
-    /// entry was scored under, verified on every hit — same collision
-    /// guard as [`DesignCache`].
-    identity: String,
-    outcome: SimOutcome,
-    stamp: u64,
-}
-
-#[derive(Debug, Default)]
-struct ScoreInner {
-    map: HashMap<u64, ScoreEntry>,
-    tick: u64,
-}
-
-impl ScoreInner {
-    fn next_tick(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
-
-    fn evict_to(&mut self, capacity: usize) {
-        while self.map.len() >= capacity.max(1) && !self.map.is_empty() {
-            let oldest = self
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(&k, _)| k)
-                .expect("non-empty map");
-            self.map.remove(&oldest);
-        }
-    }
-}
 
 /// The canonical text of a bench for score keying: its full structural
 /// rendering. Two benches share scores iff this text is identical.
@@ -676,26 +267,16 @@ fn design_identity(design: &Design, tb: &Testbench) -> String {
 /// cache already covers them.
 #[derive(Debug)]
 pub struct ScoreCache {
-    inner: Mutex<ScoreInner>,
+    tier: Arc<TieredLru<str, SimOutcome>>,
     /// Delta-aware secondary index: *structural* design identity (plus
-    /// bench text) → outcome. Populated and probed only by
+    /// bench text) → report and score. Populated and probed only by
     /// [`ScoreCache::get_or_run_delta`], under `MAGE_SIM_DELTA`; a hit
     /// here means the probing candidate elaborated to a structurally
     /// identical design (0 rebuilt units — e.g. a whitespace or comment
     /// edit) under an unchanged bench, so its score is served without
-    /// running a sim. Local to this tier (never consulted by the
-    /// fabric's parent path): the primary text map still publishes
-    /// upward, so siblings share exact-text outcomes as before.
-    by_design: Mutex<ScoreInner>,
-    capacity: usize,
-    hasher: SourceHasher,
-    /// Shared global tier consulted on local misses (see module docs).
-    parent: Option<Arc<ScoreCache>>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-    collisions: AtomicUsize,
-    promotions: AtomicUsize,
-    shortcircuits: AtomicUsize,
+    /// running a sim. Untiered: the primary tier still publishes
+    /// upward, so siblings share exact-text outcomes.
+    by_design: TieredLru<str, (Option<TbReport>, f64)>,
 }
 
 impl Default for ScoreCache {
@@ -720,25 +301,19 @@ impl ScoreCache {
     /// [`DesignCache`]).
     pub fn with_capacity_and_hasher(capacity: usize, hasher: SourceHasher) -> Self {
         ScoreCache {
-            inner: Mutex::new(ScoreInner::default()),
-            by_design: Mutex::new(ScoreInner::default()),
-            capacity,
-            hasher,
-            parent: None,
-            hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
-            collisions: AtomicUsize::new(0),
-            promotions: AtomicUsize::new(0),
-            shortcircuits: AtomicUsize::new(0),
+            tier: Arc::new(TieredLru::with_hasher(capacity, hasher, None)),
+            by_design: TieredLru::with_hasher(capacity, hasher, None),
         }
     }
 
     /// A local tier bounded to `capacity` entries, backed by `parent` —
     /// the scoring side of the tiered fabric (see the module docs).
     pub fn tiered(capacity: usize, parent: Arc<ScoreCache>) -> Self {
-        let mut cache = Self::with_capacity(capacity);
-        cache.parent = Some(parent);
-        cache
+        let parent = Some(Arc::clone(&parent.tier));
+        ScoreCache {
+            tier: Arc::new(TieredLru::with_hasher(capacity, fnv1a_source, parent)),
+            by_design: TieredLru::with_hasher(capacity, fnv1a_source, None),
+        }
     }
 
     /// Resolve `req` through the cache: a scoring request whose
@@ -756,38 +331,8 @@ impl ScoreCache {
             // Compile-only probe: the design cache's territory.
             return execute(req);
         };
-        let identity = score_identity(&req.source, bench);
-        let key = (self.hasher)(&identity);
-        let mut collided = false;
-        {
-            let mut inner = self.inner.lock().expect("score cache poisoned");
-            let tick = inner.next_tick();
-            if let Some(entry) = inner.map.get_mut(&key) {
-                if entry.identity == identity {
-                    entry.stamp = tick;
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return entry.outcome.clone();
-                }
-                // Distinct identity on the same key: never serve the
-                // cached outcome — fall through to a real run.
-                self.collisions.fetch_add(1, Ordering::Relaxed);
-                collided = true;
-            }
-        }
-        // Not answered locally: try the global tier, then simulate
-        // outside the lock (scoring dwarfs the map ops).
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(parent) = &self.parent {
-            if let Some(outcome) = parent.lookup_identity(&identity) {
-                self.promotions.fetch_add(1, Ordering::Relaxed);
-                return self.store(key, identity, outcome, collided);
-            }
-        }
-        let outcome = execute(req);
-        if let Some(parent) = &self.parent {
-            parent.insert_identity(&identity, outcome.clone());
-        }
-        self.store(key, identity, outcome, collided)
+        self.tier
+            .get_or_insert_with(&score_identity(&req.source, bench), || execute(req))
     }
 
     /// [`get_or_run`](Self::get_or_run) with delta-aware scoring: on a
@@ -806,7 +351,7 @@ impl ScoreCache {
     pub fn get_or_run_delta(
         &self,
         req: &SimRequest,
-        compile: impl FnOnce(&str) -> Result<Arc<Design>, String>,
+        compile: impl FnOnce(&str) -> Elaboration,
     ) -> SimOutcome {
         self.get_or_run(req, |r| self.execute_shortcircuit(r, compile))
     }
@@ -816,7 +361,7 @@ impl ScoreCache {
     fn execute_shortcircuit(
         &self,
         req: &SimRequest,
-        compile: impl FnOnce(&str) -> Result<Arc<Design>, String>,
+        compile: impl FnOnce(&str) -> Elaboration,
     ) -> SimOutcome {
         let Some(bench) = &req.bench else {
             // Compile-only probe: the design cache's territory.
@@ -838,159 +383,62 @@ impl ScoreCache {
         if !delta_enabled() {
             return execute_sim_with(req, |_| Ok(design));
         }
-        let identity = design_identity(&design, bench);
-        let key = (self.hasher)(&identity);
-        {
-            let mut by_design = self.by_design.lock().expect("score cache poisoned");
-            let tick = by_design.next_tick();
-            if let Some(entry) = by_design.map.get_mut(&key) {
-                // Full verification, as everywhere in this module: a
-                // colliding structural key falls through to a real sim.
-                if entry.identity == identity {
-                    entry.stamp = tick;
-                    self.shortcircuits.fetch_add(1, Ordering::Relaxed);
-                    // Serve the cached report and score with the
-                    // *probing* candidate's own design (the cached
-                    // outcome holds its sibling's).
-                    return SimOutcome {
-                        design: Ok(design),
-                        report: entry.outcome.report.clone(),
-                        score: entry.outcome.score,
-                    };
-                }
-            }
+        // A hit serves the cached report and score with the *probing*
+        // candidate's own design.
+        let (report, score) =
+            self.by_design
+                .get_or_insert_with(&design_identity(&design, bench), || {
+                    let run = execute_sim_with(req, |_| Ok(Arc::clone(&design)));
+                    (run.report, run.score)
+                });
+        SimOutcome {
+            design: Ok(design),
+            report,
+            score,
         }
-        let outcome = execute_sim_with(req, |_| Ok(design));
-        let mut by_design = self.by_design.lock().expect("score cache poisoned");
-        let tick = by_design.next_tick();
-        if self.capacity > 0 {
-            by_design.evict_to(self.capacity);
-        }
-        // Most recent identity keeps a colliding slot, matching the
-        // primary map's discipline.
-        by_design.map.insert(
-            key,
-            ScoreEntry {
-                identity,
-                outcome: outcome.clone(),
-                stamp: tick,
-            },
-        );
-        outcome
-    }
-
-    /// Probe for a scored outcome without simulating: the tiered
-    /// fabric's parent-side lookup. Returns `None` (and counts nothing)
-    /// for compile-only probes, which this cache never holds.
-    pub fn lookup(&self, req: &SimRequest) -> Option<SimOutcome> {
-        let bench = req.bench.as_ref()?;
-        self.lookup_identity(&score_identity(&req.source, bench))
-    }
-
-    /// Insert an already-computed scoring outcome (the tiered fabric's
-    /// publish path). Compile-only probes are ignored.
-    pub fn insert(&self, req: &SimRequest, outcome: SimOutcome) {
-        if let Some(bench) = &req.bench {
-            self.insert_identity(&score_identity(&req.source, bench), outcome);
-        }
-    }
-
-    /// Probe by identity text, counting a hit (with LRU promotion) or
-    /// a miss on this cache; collisions count and report a miss.
-    fn lookup_identity(&self, identity: &str) -> Option<SimOutcome> {
-        let key = (self.hasher)(identity);
-        let mut inner = self.inner.lock().expect("score cache poisoned");
-        let tick = inner.next_tick();
-        if let Some(entry) = inner.map.get_mut(&key) {
-            if entry.identity == identity {
-                entry.stamp = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Some(entry.outcome.clone());
-            }
-            self.collisions.fetch_add(1, Ordering::Relaxed);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        None
-    }
-
-    fn insert_identity(&self, identity: &str, outcome: SimOutcome) {
-        let key = (self.hasher)(identity);
-        self.store(key, identity.to_string(), outcome, false);
-    }
-
-    /// Store `outcome` under `key`, honoring races, collisions, and
-    /// the LRU bound; returns the canonical outcome for this identity.
-    fn store(&self, key: u64, identity: String, outcome: SimOutcome, collided: bool) -> SimOutcome {
-        let mut inner = self.inner.lock().expect("score cache poisoned");
-        let tick = inner.next_tick();
-        match inner.map.get_mut(&key) {
-            // Raced with another worker on the same identity.
-            Some(entry) if entry.identity == identity => return entry.outcome.clone(),
-            // Collision: keep the most recent identity warm. Count it
-            // only if the first lock didn't already (a racer inserting
-            // the colliding entry between the two locks).
-            Some(entry) => {
-                if !collided {
-                    self.collisions.fetch_add(1, Ordering::Relaxed);
-                }
-                *entry = ScoreEntry {
-                    identity,
-                    outcome: outcome.clone(),
-                    stamp: tick,
-                };
-                return outcome;
-            }
-            None => {}
-        }
-        if self.capacity > 0 {
-            inner.evict_to(self.capacity);
-        }
-        inner.map.insert(
-            key,
-            ScoreEntry {
-                identity,
-                outcome: outcome.clone(),
-                stamp: tick,
-            },
-        );
-        outcome
     }
 
     /// Number of distinct `(source, bench)` identities cached.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("score cache poisoned").map.len()
+        self.tier.len()
     }
 
     /// `true` when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.tier.is_empty()
     }
 
     /// The entry bound (0 = unbounded).
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.tier.capacity()
     }
 
     /// Scoring lookups answered from the cache.
     pub fn hits(&self) -> usize {
-        self.hits.load(Ordering::Relaxed)
+        self.tier.hits()
     }
 
-    /// Scoring lookups that simulated.
+    /// Scoring lookups that simulated (or were promoted from the global
+    /// tier, or short-circuited).
     pub fn misses(&self) -> usize {
-        self.misses.load(Ordering::Relaxed)
+        self.tier.misses()
     }
 
     /// Lookups whose key matched a *different* cached identity (each
     /// fell through to a real simulation).
     pub fn collisions(&self) -> usize {
-        self.collisions.load(Ordering::Relaxed)
+        self.tier.collisions()
     }
 
     /// Local misses answered by the global tier (a subset of
     /// [`misses`](Self::misses)). Always 0 on an untiered cache.
     pub fn promotions(&self) -> usize {
-        self.promotions.load(Ordering::Relaxed)
+        self.tier.promotions()
+    }
+
+    /// All four primary-tier counters at once.
+    pub fn stats(&self) -> CacheTierStats {
+        self.tier.stats()
     }
 
     /// Scoring misses served from the structural index without running
@@ -1000,18 +448,15 @@ impl ScoreCache {
     /// [`get_or_run_delta`](Self::get_or_run_delta) moves this, and
     /// only under `MAGE_SIM_DELTA`.
     pub fn shortcircuits(&self) -> usize {
-        self.shortcircuits.load(Ordering::Relaxed)
-    }
-
-    /// The shared global tier, when this cache is tiered.
-    pub fn parent(&self) -> Option<&Arc<ScoreCache>> {
-        self.parent.as_ref()
+        self.by_design.hits()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
+    use std::sync::Mutex;
 
     const GOOD: &str = "module top_module(input a, output y); assign y = a; endmodule";
     const BAD: &str = "module top_module(input a, output y assign y = a; endmodule";
@@ -1531,6 +976,25 @@ mod tests {
             let other = real_bench(5);
             cache.get_or_run_delta(&score_req(GOOD_WS, Some(other)), compile);
             assert_eq!(cache.shortcircuits(), 0, "changed bench must rescore");
+        });
+    }
+
+    #[test]
+    fn colliding_structural_identities_do_not_short_circuit() {
+        with_delta_on(|| {
+            // Every text identity AND every structural identity shares
+            // one key: the index must verify before it serves.
+            let cache = ScoreCache::with_capacity_and_hasher(8, collide_all);
+            let tb = real_bench(4);
+            let a = cache.get_or_run_delta(&score_req(GOOD, Some(Arc::clone(&tb))), compile);
+            assert_eq!(a.score, 1.0);
+            let inverted = "module top_module(input a, output y); assign y = ~a; endmodule";
+            let inv = cache.get_or_run_delta(&score_req(inverted, Some(Arc::clone(&tb))), compile);
+            assert_eq!(
+                inv.score, 0.0,
+                "collision must not serve the buffer's score"
+            );
+            assert_eq!(cache.shortcircuits(), 0);
         });
     }
 

@@ -112,7 +112,9 @@
 //! scoring: keyed by `fnv1a(candidate source ++ bench text)` (again
 //! full-text-verified), it shares complete scoring outcomes between
 //! jobs that generated textually identical benches — scores are pure in
-//! `(source, bench)`, so sharing cannot leak state between solves.
+//! `(source, bench)`, so sharing cannot leak state between solves. Both,
+//! and the per-process [`UnitCache`], are one verified tiered LRU
+//! ([`mage_core::TieredLru`]) under thin per-kind wrappers.
 //!
 //! # Checkpointing
 //!

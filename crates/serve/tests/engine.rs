@@ -305,7 +305,11 @@ fn idle_steps_are_not_counted_as_rounds() {
 fn identical_jobs_share_scores_across_the_stream() {
     // Two jobs with the same (problem, seed) generate textually
     // identical benches and candidates — the second one's scoring
-    // requests must be answered by the shared ScoreCache.
+    // requests must be answered by the shared ScoreCache. The twins run
+    // in lockstep, so their requests share every sim batch; one sim
+    // worker resolves a batch in order, making the second request of
+    // each pair a deterministic hit (parallel workers race both to a
+    // miss, which the cache allows).
     let p = mage_problems::by_id("prob010_mux2").expect("corpus problem");
     let specs: Vec<JobSpec> = (0..2)
         .map(|_| JobSpec {
@@ -316,7 +320,11 @@ fn identical_jobs_share_scores_across_the_stream() {
         })
         .collect();
     let service = synthetic_service(&specs);
-    let mut engine = ServeEngine::new(ServeOptions::default(), service);
+    let opts = ServeOptions {
+        workers: 1,
+        ..ServeOptions::default()
+    };
+    let mut engine = ServeEngine::new(opts, service);
     for spec in specs.clone() {
         engine.push_job(spec);
     }
