@@ -7,10 +7,11 @@
 //! # Verification
 //!
 //! An entry is keyed by a hash of its identity (a full source text, a
-//! source + bench text, or a unit's canonical item text + binding
-//! environment) and stores that identity in full. Every hit compares
-//! it: a 64-bit key alone would let two colliding identities serve each
-//! other's value, so a mismatch counts a collision and misses instead.
+//! typed source + bench or design structure + bench pair, or a unit's
+//! canonical item text + binding environment) and stores that identity
+//! in full. Every hit compares it: a 64-bit key alone would let two
+//! colliding identities serve each other's value, so a mismatch counts
+//! a collision and misses instead.
 //!
 //! # Eviction
 //!

@@ -5,13 +5,14 @@
 //! # One tier
 //!
 //! Every cache is a thin wrapper over one [`TieredLru`]: entries keyed
-//! by a hash of their full identity text, that text stored and verified
-//! on every hit (a colliding lookup falls through to a real compile or
-//! simulation), LRU-evicted with promote-on-hit, and counted as hits,
-//! misses, collisions and promotions. A wrapper adds only what is its
-//! own: the identity text, the miss path (compile with delta hints, or
-//! simulate), and for scores the structural short-circuit index — a
-//! second, untiered tier.
+//! by a 64-bit hash of their full identity, that identity stored and
+//! verified on every hit (a colliding lookup falls through to a real
+//! compile or simulation), LRU-evicted with promote-on-hit, and counted
+//! as hits, misses, collisions and promotions. A wrapper adds only what
+//! is its own: the identity (a source text for designs; typed
+//! source/design + bench values for scores), the miss path (compile
+//! with delta hints, or simulate), and for scores the structural
+//! short-circuit index — a second, untiered tier.
 //!
 //! The tier's race and collision rules (see [`mage_core::tier`]):
 //! racing stores of one identity keep the first value and return it;
@@ -27,7 +28,7 @@
 //! parent hit is **promoted** into the local tier (counted by
 //! `promotions`), and every fresh computation is published to the
 //! parent so sibling tiers can reuse it. Entries are
-//! schedule-independent facts (pure functions of their key text), so
+//! schedule-independent facts (pure functions of their identity), so
 //! the fabric can only change *where* work happens, never *what* any
 //! lookup returns — tiering is invisible to traces by construction.
 
@@ -35,15 +36,19 @@ use mage_core::solvejob::{execute_sim_with, SimOutcome, SimRequest};
 use mage_core::tier::{CacheTierStats, TieredLru};
 pub use mage_core::units::{UnitCache, DEFAULT_UNIT_CAPACITY};
 use mage_core::{compile, compile_with_provider};
-use mage_sim::{delta_enabled, ChainedUnits, Design, DesignUnits, UnitSource};
+use mage_sim::{
+    delta_enabled, ChainedUnits, Design, DesignUnits, Process, SignalDecl, SignalId, UnitSource,
+};
 use mage_tb::{TbReport, Testbench};
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Default entry bound: comfortably above any one round's working set,
 /// small enough that a day-long stream cannot grow without limit.
 pub const DEFAULT_CACHE_CAPACITY: usize = 8192;
 
-/// Hash function keying the cache. Injectable so tests can force
+/// Hash function keying a [`DesignCache`]. Injectable so tests can force
 /// distinct sources onto one key and exercise the collision path.
 pub type SourceHasher = fn(&str) -> u64;
 
@@ -212,40 +217,80 @@ fn compile_delta(
 /// design cache's.
 pub const DEFAULT_SCORE_CAPACITY: usize = 4096;
 
-/// The canonical text of a bench for score keying: its full structural
-/// rendering. Two benches share scores iff this text is identical.
-fn bench_text(tb: &Testbench) -> String {
-    format!("{tb:?}")
+/// Last step of a [`ScoreCache`] key: maps an identity's 64-bit
+/// structural hash to its tier key. Injectable so tests can force
+/// distinct identities onto one key and exercise the collision path.
+pub type KeyHasher = fn(u64) -> u64;
+
+fn plain_key(hash: u64) -> u64 {
+    hash
 }
 
-/// The identity text a scored outcome is keyed under: candidate source
-/// and bench text, NUL-joined (Verilog source never contains NUL, so
-/// the pair cannot alias across the boundary).
-fn score_identity(source: &str, tb: &Testbench) -> String {
-    let mut s = String::with_capacity(source.len() + 64);
-    s.push_str(source);
-    s.push('\0');
-    s.push_str(&bench_text(tb));
-    s
+/// The 64-bit hash of `value`'s derived [`Hash`] (std's SipHash with
+/// fixed keys, so a key is the same in every run).
+fn hash_of(value: &impl Hash) -> u64 {
+    let mut h = DefaultHasher::new();
+    value.hash(&mut h);
+    h.finish()
 }
 
-/// The structural identity a *delta short-circuit* is keyed under: the
-/// full elaborated shape of the design (top name, every signal with its
-/// declaration, port orders, every process body) plus the bench text.
-/// [`mage_tb::run_testbench`] is a pure function of exactly these — two
-/// candidates with equal structural identity (e.g. whitespace or
-/// comment edits, where the delta elaboration reports 0 rebuilt units)
-/// must observe the same report and score, whatever their source text.
-fn design_identity(design: &Design, tb: &Testbench) -> String {
-    format!(
-        "{}\0{:?}\0{:?}\0{:?}\0{:?}\0{}",
-        design.top,
-        design.signals,
-        design.inputs,
-        design.outputs,
-        design.processes,
-        bench_text(tb)
-    )
+/// Bench equality for both score identities: the same allocation, or
+/// structurally equal content.
+fn same_bench(a: &Arc<Testbench>, b: &Arc<Testbench>) -> bool {
+    Arc::ptr_eq(a, b) || **a == **b
+}
+
+/// What [`mage_tb::run_testbench`] observes of a design: top name,
+/// every signal with its declaration, port orders, every process body.
+/// Two designs with equal structure observe the same report and score
+/// under one bench, whatever their source text.
+type Structure<'a> = (
+    &'a str,
+    &'a [SignalDecl],
+    &'a [SignalId],
+    &'a [SignalId],
+    &'a [Process],
+);
+
+fn structure(d: &Design) -> Structure<'_> {
+    (&d.top, &d.signals, &d.inputs, &d.outputs, &d.processes)
+}
+
+/// The identity a scored outcome is keyed under: the candidate source
+/// and the bench, verified in full on every hit.
+#[derive(Clone)]
+struct ScoreId {
+    /// Tier key, computed once per lookup.
+    key: u64,
+    source: String,
+    bench: Arc<Testbench>,
+}
+
+impl PartialEq for ScoreId {
+    fn eq(&self, other: &Self) -> bool {
+        self.source == other.source && same_bench(&self.bench, &other.bench)
+    }
+}
+
+/// The identity a *delta short-circuit* is keyed under: the design's
+/// [structure](Structure) plus the bench, verified in full on every
+/// hit. Candidates with equal structure (e.g. whitespace or comment
+/// edits, where the delta elaboration reports 0 rebuilt units) share
+/// it, whatever their source text.
+#[derive(Clone)]
+struct DesignId {
+    /// Tier key, computed once per lookup.
+    key: u64,
+    design: Arc<Design>,
+    bench: Arc<Testbench>,
+}
+
+impl PartialEq for DesignId {
+    fn eq(&self, other: &Self) -> bool {
+        (Arc::ptr_eq(&self.design, &other.design)
+            || structure(&self.design) == structure(&other.design))
+            && same_bench(&self.bench, &other.bench)
+    }
 }
 
 /// A bounded map from `(candidate source, bench content)` to the full
@@ -255,28 +300,35 @@ fn design_identity(design: &Design, tb: &Testbench) -> String {
 /// *bench* the job generated, and benches are per-job artifacts. But
 /// they are still pure — [`mage_tb::run_testbench`] is a deterministic
 /// function of `(bench, design)`, and the design is a pure function of
-/// the source — so two jobs that generated *textually identical*
-/// benches for the same candidate source must observe the same report
-/// and score. This cache shares exactly those: the key is
-/// `fnv1a(source ++ NUL ++ bench text)` with the full identity text
-/// stored and verified on every hit (a colliding lookup falls through
-/// to a real simulation, mirroring the design cache's guard), and
-/// entries are LRU-evicted with promote-on-hit.
+/// the source — so two jobs that generated *structurally equal* benches
+/// for the same candidate source must observe the same report and
+/// score. This cache shares exactly those.
+///
+/// Keying: the identity is the typed pair `(source, Arc<Testbench>)`.
+/// Its key hashes the source and the bench's derived [`Hash`] once per
+/// lookup (the bench hash is reused by the structural index), passed
+/// through the cache's [`KeyHasher`]. Every hit is verified by full
+/// equality — the source text, and the bench by `Arc::ptr_eq` or else
+/// derived `PartialEq` — so a colliding lookup falls through to a real
+/// simulation, mirroring the design cache's guard. Entries are
+/// LRU-evicted with promote-on-hit.
 ///
 /// Compile-only probes (no bench) are never cached here — the design
 /// cache already covers them.
 #[derive(Debug)]
 pub struct ScoreCache {
-    tier: Arc<TieredLru<str, SimOutcome>>,
-    /// Delta-aware secondary index: *structural* design identity (plus
-    /// bench text) → report and score. Populated and probed only by
+    tier: Arc<TieredLru<ScoreId, SimOutcome>>,
+    /// Delta-aware secondary index: elaborated design structure plus
+    /// bench → report and score. Populated and probed only by
     /// [`ScoreCache::get_or_run_delta`], under `MAGE_SIM_DELTA`; a hit
     /// here means the probing candidate elaborated to a structurally
     /// identical design (0 rebuilt units — e.g. a whitespace or comment
     /// edit) under an unchanged bench, so its score is served without
     /// running a sim. Untiered: the primary tier still publishes
     /// upward, so siblings share exact-text outcomes.
-    by_design: TieredLru<str, (Option<TbReport>, f64)>,
+    by_design: TieredLru<DesignId, (Option<TbReport>, f64)>,
+    /// Final step of both tiers' keys.
+    key_hasher: KeyHasher,
 }
 
 impl Default for ScoreCache {
@@ -293,26 +345,57 @@ impl ScoreCache {
 
     /// An empty cache bounded to `capacity` entries (0 = unbounded).
     pub fn with_capacity(capacity: usize) -> Self {
-        Self::with_capacity_and_hasher(capacity, fnv1a_source)
+        Self::with_capacity_and_hasher(capacity, plain_key)
     }
 
-    /// An empty cache with an explicit identity hasher (tests inject
-    /// degenerate hashers to force key collisions, as for
-    /// [`DesignCache`]).
-    pub fn with_capacity_and_hasher(capacity: usize, hasher: SourceHasher) -> Self {
+    /// An empty cache with an explicit key hasher, applied to every
+    /// identity's structural hash — score and short-circuit identities
+    /// alike. The production hasher passes the hash through; tests
+    /// inject degenerate hashers to force key collisions.
+    pub fn with_capacity_and_hasher(capacity: usize, hasher: KeyHasher) -> Self {
         ScoreCache {
-            tier: Arc::new(TieredLru::with_hasher(capacity, hasher, None)),
-            by_design: TieredLru::with_hasher(capacity, hasher, None),
+            tier: Arc::new(TieredLru::with_hasher(capacity, |id| id.key, None)),
+            by_design: TieredLru::with_hasher(capacity, |id| id.key, None),
+            key_hasher: hasher,
         }
     }
 
     /// A local tier bounded to `capacity` entries, backed by `parent` —
     /// the scoring side of the tiered fabric (see the module docs).
+    /// Keys are computed once, with the parent's hasher, and serve both
+    /// tiers.
     pub fn tiered(capacity: usize, parent: Arc<ScoreCache>) -> Self {
-        let parent = Some(Arc::clone(&parent.tier));
         ScoreCache {
-            tier: Arc::new(TieredLru::with_hasher(capacity, fnv1a_source, parent)),
-            by_design: TieredLru::with_hasher(capacity, fnv1a_source, None),
+            tier: Arc::new(TieredLru::with_hasher(
+                capacity,
+                |id| id.key,
+                Some(Arc::clone(&parent.tier)),
+            )),
+            by_design: TieredLru::with_hasher(capacity, |id| id.key, None),
+            key_hasher: parent.key_hasher,
+        }
+    }
+
+    /// The identity `req` is scored under, plus its bench's hash (the
+    /// structural key reuses it); `None` for a compile-only probe.
+    fn score_id(&self, req: &SimRequest) -> Option<(ScoreId, u64)> {
+        let bench = req.bench.as_ref()?;
+        let bench_hash = hash_of(&**bench);
+        let id = ScoreId {
+            key: (self.key_hasher)(hash_of(&(&req.source, bench_hash))),
+            source: req.source.clone(),
+            bench: Arc::clone(bench),
+        };
+        Some((id, bench_hash))
+    }
+
+    /// The structural identity of `design` under `bench`, whose hash is
+    /// `bench_hash`.
+    fn design_id(&self, design: &Arc<Design>, bench: &Arc<Testbench>, bench_hash: u64) -> DesignId {
+        DesignId {
+            key: (self.key_hasher)(hash_of(&(structure(design), bench_hash))),
+            design: Arc::clone(design),
+            bench: Arc::clone(bench),
         }
     }
 
@@ -327,12 +410,11 @@ impl ScoreCache {
         req: &SimRequest,
         execute: impl FnOnce(&SimRequest) -> SimOutcome,
     ) -> SimOutcome {
-        let Some(bench) = &req.bench else {
+        match self.score_id(req) {
+            Some((id, _)) => self.tier.get_or_insert_with(&id, || execute(req)),
             // Compile-only probe: the design cache's territory.
-            return execute(req);
-        };
-        self.tier
-            .get_or_insert_with(&score_identity(&req.source, bench), || execute(req))
+            None => execute(req),
+        }
     }
 
     /// [`get_or_run`](Self::get_or_run) with delta-aware scoring: on a
@@ -353,7 +435,13 @@ impl ScoreCache {
         req: &SimRequest,
         compile: impl FnOnce(&str) -> Elaboration,
     ) -> SimOutcome {
-        self.get_or_run(req, |r| self.execute_shortcircuit(r, compile))
+        let Some((id, bench_hash)) = self.score_id(req) else {
+            // Compile-only probe: the design cache's territory.
+            return execute_sim_with(req, compile);
+        };
+        self.tier.get_or_insert_with(&id, || {
+            self.execute_shortcircuit(req, &id.bench, bench_hash, compile)
+        })
     }
 
     /// The miss-path executor behind [`get_or_run_delta`]: compile,
@@ -361,12 +449,10 @@ impl ScoreCache {
     fn execute_shortcircuit(
         &self,
         req: &SimRequest,
+        bench: &Arc<Testbench>,
+        bench_hash: u64,
         compile: impl FnOnce(&str) -> Elaboration,
     ) -> SimOutcome {
-        let Some(bench) = &req.bench else {
-            // Compile-only probe: the design cache's territory.
-            return execute_sim_with(req, compile);
-        };
         let design = match &req.design {
             Some(d) => Ok(Arc::clone(d)),
             None => compile(&req.source),
@@ -385,12 +471,11 @@ impl ScoreCache {
         }
         // A hit serves the cached report and score with the *probing*
         // candidate's own design.
-        let (report, score) =
-            self.by_design
-                .get_or_insert_with(&design_identity(&design, bench), || {
-                    let run = execute_sim_with(req, |_| Ok(Arc::clone(&design)));
-                    (run.report, run.score)
-                });
+        let id = self.design_id(&design, bench, bench_hash);
+        let (report, score) = self.by_design.get_or_insert_with(&id, || {
+            let run = execute_sim_with(req, |_| Ok(Arc::clone(&design)));
+            (run.report, run.score)
+        });
         SimOutcome {
             design: Ok(design),
             report,
@@ -514,6 +599,12 @@ mod tests {
 
     /// Degenerate hasher mapping every source to one key.
     fn collide_all(_: &str) -> u64 {
+        42
+    }
+
+    /// Degenerate key hasher mapping every score and structural
+    /// identity to one key.
+    fn collide_all_keys(_: u64) -> u64 {
         42
     }
 
@@ -643,7 +734,7 @@ mod tests {
 
     #[test]
     fn colliding_score_identities_both_run_fresh() {
-        let cache = ScoreCache::with_capacity_and_hasher(8, collide_all);
+        let cache = ScoreCache::with_capacity_and_hasher(8, collide_all_keys);
         let tb = bench("tb", 1);
         let a = cache.get_or_run(&score_req(&src("m_a"), Some(Arc::clone(&tb))), |_| {
             fake_outcome(0.25)
@@ -984,7 +1075,7 @@ mod tests {
         with_delta_on(|| {
             // Every text identity AND every structural identity shares
             // one key: the index must verify before it serves.
-            let cache = ScoreCache::with_capacity_and_hasher(8, collide_all);
+            let cache = ScoreCache::with_capacity_and_hasher(8, collide_all_keys);
             let tb = real_bench(4);
             let a = cache.get_or_run_delta(&score_req(GOOD, Some(Arc::clone(&tb))), compile);
             assert_eq!(a.score, 1.0);
@@ -995,6 +1086,12 @@ mod tests {
                 "collision must not serve the buffer's score"
             );
             assert_eq!(cache.shortcircuits(), 0);
+            assert_eq!(cache.collisions(), 1, "text identities collided");
+            assert_eq!(
+                cache.by_design.collisions(),
+                1,
+                "structural identities collided and were verified"
+            );
         });
     }
 
@@ -1010,6 +1107,134 @@ mod tests {
             // Scores agree anyway — the short-circuit only skips work.
             assert_eq!(a.score, b.score);
         });
+    }
+
+    #[test]
+    fn equal_bench_content_shares_scores_across_allocations() {
+        with_delta_on(|| {
+            let cache = ScoreCache::new();
+            let tb = real_bench(4);
+            let twin = Arc::new((*tb).clone());
+            assert!(!Arc::ptr_eq(&tb, &twin));
+            let a = cache.get_or_run_delta(&score_req(GOOD, Some(tb)), compile);
+            assert_eq!(a.score, 1.0);
+            // A separately allocated, equal bench is the same identity
+            // in both tiers: one simulation, then one hit each.
+            cache.get_or_run_delta(&score_req(GOOD, Some(Arc::clone(&twin))), compile);
+            assert_eq!((cache.hits(), cache.misses()), (1, 1));
+            cache.get_or_run_delta(&score_req(GOOD_WS, Some(Arc::clone(&twin))), compile);
+            assert_eq!(cache.shortcircuits(), 1);
+            // One expected bit flipped: a different bench, simulated
+            // fresh in both tiers.
+            let mut flipped = (*twin).clone();
+            flipped.steps[3].checks[0].expected = mage_logic::LogicVec::from_u64(1, 0);
+            let f = cache.get_or_run_delta(&score_req(GOOD, Some(Arc::new(flipped))), compile);
+            assert!(f.score < 1.0, "the flipped check must fail");
+            assert_eq!((cache.hits(), cache.misses()), (1, 3));
+            assert_eq!(cache.shortcircuits(), 1);
+            assert_eq!(cache.by_design.misses(), 2, "two simulations in all");
+        });
+    }
+
+    /// The string identities the score cache was keyed under before its
+    /// identities were typed, kept only as the oracle below: a score
+    /// identity rendered source and bench, a structural identity the
+    /// design's structure and the bench.
+    fn debug_score_text(source: &str, tb: &Testbench) -> String {
+        format!("{source}\0{tb:?}")
+    }
+
+    fn debug_design_text(d: &Design, tb: &Testbench) -> String {
+        format!(
+            "{}\0{:?}\0{:?}\0{:?}\0{:?}\0{tb:?}",
+            d.top, d.signals, d.inputs, d.outputs, d.processes
+        )
+    }
+
+    #[test]
+    fn typed_identities_agree_with_debug_renderings() {
+        let problems = mage_problems::all_problems();
+        let mut cases: Vec<(String, Arc<Design>, Arc<Testbench>)> = problems
+            .iter()
+            .map(|p| {
+                let design = compile(p.golden).expect("golden elaborates");
+                let bench = mage_core::experiments::grading_bench_shared(p);
+                (p.golden.to_string(), design, bench)
+            })
+            .collect();
+        let golden = cases.clone();
+        // Whitespace/comment twins: new text, same structure.
+        for (source, _, bench) in golden.iter().take(6) {
+            let twin = format!("// twin\n{}", source.replace(';', " ;"));
+            let design = compile(&twin).expect("twin elaborates");
+            cases.push((twin, design, Arc::clone(bench)));
+        }
+        // One-operator mutants: new text, new structure.
+        let swaps = [
+            (" & ", " | "),
+            (" | ", " & "),
+            (" + ", " - "),
+            (" ^ ", " | "),
+        ];
+        let mutants = golden.iter().filter_map(|(source, _, bench)| {
+            let (from, to) = swaps.iter().find(|(from, _)| source.contains(from))?;
+            let mutant = source.replacen(from, to, 1);
+            let design = compile(&mutant).ok()?;
+            Some((mutant, design, Arc::clone(bench)))
+        });
+        cases.extend(mutants.take(6).collect::<Vec<_>>());
+        // Equal benches in fresh allocations, and sources scored against
+        // a neighbour's bench.
+        for (i, (source, design, bench)) in golden.iter().take(4).enumerate() {
+            let copy = Arc::new((**bench).clone());
+            cases.push((source.clone(), Arc::clone(design), copy));
+            let other = Arc::clone(&golden[i + 1].2);
+            cases.push((source.clone(), Arc::clone(design), other));
+        }
+
+        // Equal signals and processes, but a different port list (`y`
+        // demoted to an internal wire) or a different top name.
+        let tb = real_bench(2);
+        let no_port = "module top_module(input a); wire y; assign y = a; endmodule";
+        for source in [GOOD.to_string(), no_port.to_string(), src("m_a")] {
+            let design = compile(&source).expect("elaborates");
+            cases.push((source, design, Arc::clone(&tb)));
+        }
+
+        let cache = ScoreCache::new();
+        let ids: Vec<_> = cases
+            .iter()
+            .map(|(source, design, bench)| {
+                let req = score_req(source, Some(Arc::clone(bench)));
+                let (score, bench_hash) = cache.score_id(&req).expect("scoring request");
+                let structural = cache.design_id(design, bench, bench_hash);
+                let texts = (
+                    debug_score_text(source, bench),
+                    debug_design_text(design, bench),
+                );
+                (score, structural, texts)
+            })
+            .collect();
+        let (mut score_twins, mut design_twins) = (0, 0);
+        for (i, (sa, da, (sta, dta))) in ids.iter().enumerate() {
+            for (sb, db, (stb, dtb)) in &ids[i + 1..] {
+                assert_eq!(sa == sb, sta == stb, "score identity vs rendering");
+                assert_eq!(da == db, dta == dtb, "design identity vs rendering");
+                if sa == sb {
+                    assert_eq!(sa.key, sb.key);
+                    score_twins += 1;
+                }
+                if da == db {
+                    assert_eq!(da.key, db.key);
+                    design_twins += 1;
+                }
+            }
+        }
+        // The equal pairs the cases were built to contain: each fresh
+        // bench allocation shares its source's score identity; each
+        // twin and each fresh allocation shares a structural identity.
+        assert!(score_twins >= 4, "{score_twins} equal score pairs");
+        assert!(design_twins >= 10, "{design_twins} equal design pairs");
     }
 
     #[test]

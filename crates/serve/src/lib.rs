@@ -109,11 +109,15 @@
 //! with the full text verified on every hit. Elaboration is a pure
 //! function of the source, so a cache entry is valid for every job,
 //! ablation and bench. The [`ScoreCache`] extends the same idea to
-//! scoring: keyed by `fnv1a(candidate source ++ bench text)` (again
-//! full-text-verified), it shares complete scoring outcomes between
-//! jobs that generated textually identical benches — scores are pure in
-//! `(source, bench)`, so sharing cannot leak state between solves. Both,
-//! and the per-process [`UnitCache`], are one verified tiered LRU
+//! scoring: its identity is the typed pair `(candidate source,
+//! Arc<Testbench>)`, keyed by a hash of the source and the bench's
+//! derived `Hash` and verified on every hit by full equality (the
+//! bench by `Arc::ptr_eq`, else by content). It shares complete scoring
+//! outcomes between jobs that generated structurally equal benches —
+//! scores are pure in `(source, bench)`, so sharing cannot leak state
+//! between solves. Its structural short-circuit index keys the same way
+//! on `(elaborated design structure, bench)`. All of these, and the
+//! per-process [`UnitCache`], are one verified tiered LRU
 //! ([`mage_core::TieredLru`]) under thin per-kind wrappers.
 //!
 //! # Checkpointing
@@ -134,7 +138,7 @@ mod service;
 mod wave;
 
 pub use cache::{
-    DesignCache, ScoreCache, SourceHasher, UnitCache, DEFAULT_CACHE_CAPACITY,
+    DesignCache, KeyHasher, ScoreCache, SourceHasher, UnitCache, DEFAULT_CACHE_CAPACITY,
     DEFAULT_SCORE_CAPACITY, DEFAULT_UNIT_CAPACITY,
 };
 pub use scheduler::{

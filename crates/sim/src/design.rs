@@ -18,7 +18,7 @@ impl SignalId {
 }
 
 /// A flattened signal.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SignalDecl {
     /// Hierarchical name (`u0.carry`), top-level signals unprefixed.
     pub name: String,
@@ -33,7 +33,7 @@ pub struct SignalDecl {
 
 /// Compiled expression. Identifiers are resolved to [`SignalId`]s and
 /// parameters are folded to constants at elaboration.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum CExpr {
     /// Constant value.
     Const(LogicVec),
@@ -90,7 +90,7 @@ impl CExpr {
 }
 
 /// Compiled assignment target.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum CLValue {
     /// Whole signal.
     Whole(SignalId),
@@ -115,7 +115,7 @@ impl CLValue {
 }
 
 /// Compiled statement.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum CStmt {
     /// Sequence.
     Block(Vec<CStmt>),
@@ -147,7 +147,7 @@ pub enum CStmt {
 }
 
 /// A compiled process.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Process {
     /// Combinational: re-evaluated whenever any read signal changes.
     Comb {
